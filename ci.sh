@@ -28,6 +28,11 @@ echo "== strip-parallel fusion bit-identity (rules x radii x threads x strips)"
 # pipelining, and the shared serve fleet.
 cargo test -q --release --test fusion_identity
 
+echo "== benchmark smoke (wavebench: every workload, metric units, corrupted reference)"
+# The benchmark is its own cargo workspace; its tests run each workload in
+# --smoke mode and check that a corrupted serial reference is reported.
+cargo test --release --offline --manifest-path wavebench/Cargo.toml
+
 echo "== throughput bench smoke (repro bench --frames 16)"
 # Smoke only: must run to completion and emit the JSON report; the
 # numbers themselves are host-dependent and not asserted here.

@@ -1156,21 +1156,28 @@ fn quad_to_complex(q: [&Image; 4]) -> (ComplexImage, ComplexImage) {
 /// outputs.
 fn quad_to_complex_into(q: [&Image; 4], z1: &mut ComplexImage, z2: &mut ComplexImage) {
     let (w, h) = q[0].dims();
+    assert!(
+        q.iter().all(|m| m.dims() == (w, h)),
+        "tree subbands must share one shape"
+    );
     z1.reshape(w, h);
     z2.reshape(w, h);
-    for y in 0..h {
-        for x in 0..w {
-            let (a, b, c, d) = (
-                q[0].get(x, y),
-                q[1].get(x, y),
-                q[2].get(x, y),
-                q[3].get(x, y),
-            );
-            z1.re.set(x, y, 0.5 * (a - d));
-            z1.im.set(x, y, 0.5 * (b + c));
-            z2.re.set(x, y, 0.5 * (a + d));
-            z2.im.set(x, y, 0.5 * (b - c));
-        }
+    let pixels = z1
+        .re
+        .as_mut_slice()
+        .iter_mut()
+        .zip(z1.im.as_mut_slice())
+        .zip(z2.re.as_mut_slice().iter_mut().zip(z2.im.as_mut_slice()));
+    let quads = q[0]
+        .as_slice()
+        .iter()
+        .zip(q[1].as_slice())
+        .zip(q[2].as_slice().iter().zip(q[3].as_slice()));
+    for (((r1, i1), (r2, i2)), ((a, b), (c, d))) in pixels.zip(quads) {
+        *r1 = 0.5 * (a - d);
+        *i1 = 0.5 * (b + c);
+        *r2 = 0.5 * (a + d);
+        *i2 = 0.5 * (b - c);
     }
 }
 
@@ -1186,20 +1193,30 @@ fn complex_to_quad_member(z1: &ComplexImage, z2: &ComplexImage, ci: usize) -> Im
 /// reshaped output.
 fn complex_to_quad_member_into(z1: &ComplexImage, z2: &ComplexImage, ci: usize, out: &mut Image) {
     let (w, h) = z1.dims();
+    assert_eq!(z2.dims(), (w, h), "complex subbands must share one shape");
     out.reshape(w, h);
-    for y in 0..h {
-        for x in 0..w {
-            let (r1, i1) = (z1.re.get(x, y), z1.im.get(x, y));
-            let (r2, i2) = (z2.re.get(x, y), z2.im.get(x, y));
-            let v = match ci {
-                0 => r1 + r2, // aa
-                1 => i1 + i2, // ab
-                2 => i1 - i2, // ba
-                3 => r2 - r1, // bb
-                _ => unreachable!("tree combination index is 0..4"),
-            };
-            out.set(x, y, v);
-        }
+    let (r1, i1, r2, i2) = (
+        z1.re.as_slice(),
+        z1.im.as_slice(),
+        z2.re.as_slice(),
+        z2.im.as_slice(),
+    );
+    let dst = out.as_mut_slice();
+    match ci {
+        0 => zip_with(dst, r1, r2, |a, b| a + b), // aa
+        1 => zip_with(dst, i1, i2, |a, b| a + b), // ab
+        2 => zip_with(dst, i1, i2, |a, b| a - b), // ba
+        3 => zip_with(dst, r2, r1, |a, b| a - b), // bb
+        _ => unreachable!("tree combination index is 0..4"),
+    }
+}
+
+/// `dst[i] = f(a[i], b[i])` over equal-length slices; generic so each
+/// caller's closure is inlined into its own loop.
+#[inline(always)]
+fn zip_with(dst: &mut [f32], a: &[f32], b: &[f32], f: impl Fn(f32, f32) -> f32) {
+    for ((o, &x), &y) in dst.iter_mut().zip(a).zip(b) {
+        *o = f(x, y);
     }
 }
 

@@ -86,6 +86,9 @@ impl BankTaps {
 /// Circularly extends `x` with `left` wrapped samples before and `right`
 /// after, into `out` (cleared first).
 ///
+/// Margins no longer than `x` are slice copies; only rows shorter than a
+/// margin (deep pyramid levels of small frames) wrap sample by sample.
+///
 /// # Panics
 ///
 /// Panics if `x` is empty.
@@ -94,13 +97,17 @@ pub fn extend_circular_into(x: &[f32], left: usize, right: usize, out: &mut Vec<
     let n = x.len();
     out.clear();
     out.reserve(n + left + right);
-    for i in 0..left {
+    if left <= n {
+        out.extend_from_slice(&x[n - left..]);
+    } else {
         // index -(left - i) mod n
-        out.push(x[(n - 1) - ((left - 1 - i) % n)]);
+        out.extend((0..left).map(|i| x[(n - 1) - ((left - 1 - i) % n)]));
     }
     out.extend_from_slice(x);
-    for i in 0..right {
-        out.push(x[i % n]);
+    if right <= n {
+        out.extend_from_slice(&x[..right]);
+    } else {
+        out.extend((0..right).map(|i| x[i % n]));
     }
 }
 
@@ -235,11 +242,11 @@ pub fn synthesize_into<K: FilterKernel + ?Sized>(
         &mut scratch.raw,
     );
     // The analysis/synthesis cascade delays the signal by `delay` samples
-    // (circularly); rotate left to compensate.
+    // (circularly); rotate left to compensate: out[m] = raw[(m + d) mod n].
     let d = taps.delay % n;
-    for (m, o) in out.iter_mut().enumerate() {
-        *o = scratch.raw[(m + d) % n];
-    }
+    let (head, tail) = out.split_at_mut(n - d);
+    head.copy_from_slice(&scratch.raw[d..]);
+    tail.copy_from_slice(&scratch.raw[..d]);
     Ok(())
 }
 
@@ -356,6 +363,19 @@ mod tests {
         // Margin longer than the signal must keep wrapping.
         extend_circular_into(&[1.0, 2.0], 5, 3, &mut out);
         assert_eq!(out, vec![2.0, 1.0, 2.0, 1.0, 2.0, 1.0, 2.0, 1.0, 2.0, 1.0]);
+        // Every margin from 0 to past two wraps (slice copies up to the
+        // signal length, wrapping beyond) matches the modular definition
+        // x[(i - left) mod n].
+        let x: Vec<f32> = (0..5).map(|i| i as f32).collect();
+        for left in 0..12 {
+            for right in [0usize, 1, 5, 6, 11] {
+                extend_circular_into(&x, left, right, &mut out);
+                let want: Vec<f32> = (0..left + 5 + right)
+                    .map(|i| x[(i as isize - left as isize).rem_euclid(5) as usize])
+                    .collect();
+                assert_eq!(out, want, "left {left} right {right}");
+            }
+        }
     }
 
     #[test]

@@ -1,16 +1,28 @@
 //! SIMD implementations of the [`FilterKernel`] row primitives.
 //!
 //! [`SimdKernel`] mirrors the paper's *manual* NEON intrinsics (Fig. 3):
-//! the filter is reversed once so each output becomes a contiguous dot
-//! product, accumulated four lanes at a time in a quad register and folded
-//! with a horizontal add. Tap vectors are zero-padded to a multiple of four
+//! the filter is reversed once and zero-padded to a multiple of four taps,
 //! so the loop has no scalar remainder — the paper makes the same
-//! "iteration count is a multiple of the lane count" argument.
+//! "iteration count is a multiple of the lane count" argument. Its row
+//! passes put *adjacent outputs* in the vector lanes and run on the same
+//! lane-generic bodies as the column passes (see below):
+//!
+//! * **Analysis.** Output `k`, tap `i` reads `ext[base + 2k + i]`. Once the
+//!   window is split into its even- and odd-indexed samples laid end to end,
+//!   those reads are contiguous in `k`, so tap `i` becomes one stride-1 row
+//!   of the split buffer and the row is filtered like an image row of the
+//!   columnar analysis.
+//! * **Synthesis.** Outputs of one parity read channel windows that advance
+//!   by one sample per output, so each parity class is one columnar
+//!   synthesis row over the extended channels, and the two classes are
+//!   interleaved into the output.
 //!
 //! [`AutoVecKernel`] mirrors the *compiler auto-vectorized* build
 //! (`-mfpu=neon -ftree-vectorize`): straight-line safe Rust with four
-//! independent accumulators and fixed trip counts, the shape LLVM (like GCC
-//! in the paper) vectorizes without intrinsics.
+//! independent accumulators and fixed trip counts, one dot product per
+//! output — the shape LLVM (like GCC in the paper) vectorizes without
+//! intrinsics. Its per-output rows are the reference the lane-parallel rows
+//! are tested against bit for bit.
 //!
 //! # Columnar column passes
 //!
@@ -19,12 +31,13 @@
 //! (then 4, then 1) *adjacent columns*, rows are loaded stride-1, and each
 //! lane accumulates its own column's convolution — no transposes and no
 //! horizontal sums. Bit-identity with the transpose-staged row path is
-//! preserved by replicating the row dot product's exact summation structure
-//! per column: four partial accumulators indexed by `tap_index % 4` (the
-//! four lanes of the row path's accumulator register) folded as
-//! `(p0 + p2) + (p1 + p3)` ([`F32x4::horizontal_sum`]'s documented order).
-//! Since every column is independent, lane-group width and strip splitting
-//! never change any column's value.
+//! preserved by replicating the per-output dot product's exact summation
+//! structure per column: four partial accumulators indexed by
+//! `tap_index % 4` (the four lanes of a per-output accumulator register)
+//! folded as `(p0 + p2) + (p1 + p3)` ([`F32x4::horizontal_sum`]'s documented
+//! order). Since every column is independent, lane-group width and strip
+//! splitting never change any column's value — and since the lane-parallel
+//! row passes use the same bodies, row outputs follow the same fold.
 
 use crate::vector::{F32x4, F32x8};
 use wavefuse_dtcwt::dwt1d::{BankTaps, Phase};
@@ -63,38 +76,6 @@ fn polyphase_reversed(taps: &[f32], even: &mut Vec<f32>, odd: &mut Vec<f32>) {
     for i in (0..no).rev() {
         odd.push(taps[2 * i + 1]);
     }
-}
-
-fn simd_dot(window: &[f32], taps4: &[f32]) -> f32 {
-    debug_assert!(taps4.len().is_multiple_of(4));
-    debug_assert!(window.len() >= taps4.len());
-    let mut acc = F32x4::ZERO;
-    for (w, t) in window.chunks_exact(4).zip(taps4.chunks_exact(4)) {
-        acc = acc.mul_add(F32x4::load(w), F32x4::load(t));
-    }
-    acc.horizontal_sum()
-}
-
-/// Two dot products over one shared window (equal-length padded taps): each
-/// window vector is loaded once and fed to both accumulators. Per filter the
-/// accumulation sequence is exactly [`simd_dot`]'s, so the pairing changes
-/// load traffic only, never a result bit.
-fn simd_dot2(window: &[f32], taps0: &[f32], taps1: &[f32]) -> (f32, f32) {
-    debug_assert_eq!(taps0.len(), taps1.len());
-    debug_assert!(taps0.len().is_multiple_of(4));
-    debug_assert!(window.len() >= taps0.len());
-    let mut acc0 = F32x4::ZERO;
-    let mut acc1 = F32x4::ZERO;
-    for ((w, t0), t1) in window
-        .chunks_exact(4)
-        .zip(taps0.chunks_exact(4))
-        .zip(taps1.chunks_exact(4))
-    {
-        let wv = F32x4::load(w);
-        acc0 = acc0.mul_add(wv, F32x4::load(t0));
-        acc1 = acc1.mul_add(wv, F32x4::load(t1));
-    }
-    (acc0.horizontal_sum(), acc1.horizontal_sum())
 }
 
 /// Lane-width-generic column vector for the columnar path. The column loop
@@ -196,23 +177,20 @@ impl ColVec for f32 {
 /// Per-column vertical dot product over a lane group starting at column
 /// `x0`: `offs[i]` is the flat offset (`wrapped_row * stride`) of padded
 /// tap `i`'s source row in the image's backing slice, and the four
-/// partial accumulators indexed by `i % 4` replicate the lanes of the row
-/// path's accumulator register, folded in [`F32x4::horizontal_sum`]'s
-/// `(p0 + p2) + (p1 + p3)` order — this is what makes the columnar result
-/// bit-identical to `simd_dot` (and [`AutoVecKernel::unrolled_dot`], which
-/// shares the same structure) per column.
+/// partial accumulators indexed by `i % 4` replicate the lanes of a
+/// per-output accumulator register, folded in [`F32x4::horizontal_sum`]'s
+/// `(p0 + p2) + (p1 + p3)` order — this is what makes each lane's result
+/// bit-identical to [`AutoVecKernel::unrolled_dot`] over the same window.
 #[inline(always)]
 fn col_dot<V: ColVec>(data: &[f32], offs: &[usize], taps: &[f32], x0: usize) -> V {
     debug_assert!(taps.len().is_multiple_of(4));
     debug_assert_eq!(offs.len(), taps.len());
     let (mut p0, mut p1, mut p2, mut p3) = (V::zero(), V::zero(), V::zero(), V::zero());
-    let mut i = 0;
-    while i < taps.len() {
-        p0 = p0.mul_add(V::load(&data[offs[i] + x0..]), V::splat(taps[i]));
-        p1 = p1.mul_add(V::load(&data[offs[i + 1] + x0..]), V::splat(taps[i + 1]));
-        p2 = p2.mul_add(V::load(&data[offs[i + 2] + x0..]), V::splat(taps[i + 2]));
-        p3 = p3.mul_add(V::load(&data[offs[i + 3] + x0..]), V::splat(taps[i + 3]));
-        i += 4;
+    for (o, t) in offs.chunks_exact(4).zip(taps.chunks_exact(4)) {
+        p0 = p0.mul_add(V::load(&data[o[0] + x0..]), V::splat(t[0]));
+        p1 = p1.mul_add(V::load(&data[o[1] + x0..]), V::splat(t[1]));
+        p2 = p2.mul_add(V::load(&data[o[2] + x0..]), V::splat(t[2]));
+        p3 = p3.mul_add(V::load(&data[o[3] + x0..]), V::splat(t[3]));
     }
     p0.add(p2).add(p1.add(p3))
 }
@@ -244,21 +222,20 @@ fn col_dot2<V: ColVec>(data: &[f32], offs: &[usize], t0: &[f32], t1: &[f32], x0:
     debug_assert_eq!(offs.len(), t0.len());
     let (mut a0, mut a1, mut a2, mut a3) = (V::zero(), V::zero(), V::zero(), V::zero());
     let (mut b0, mut b1, mut b2, mut b3) = (V::zero(), V::zero(), V::zero(), V::zero());
-    let mut i = 0;
-    while i < t0.len() {
-        let r0 = V::load(&data[offs[i] + x0..]);
-        a0 = a0.mul_add(r0, V::splat(t0[i]));
-        b0 = b0.mul_add(r0, V::splat(t1[i]));
-        let r1 = V::load(&data[offs[i + 1] + x0..]);
-        a1 = a1.mul_add(r1, V::splat(t0[i + 1]));
-        b1 = b1.mul_add(r1, V::splat(t1[i + 1]));
-        let r2 = V::load(&data[offs[i + 2] + x0..]);
-        a2 = a2.mul_add(r2, V::splat(t0[i + 2]));
-        b2 = b2.mul_add(r2, V::splat(t1[i + 2]));
-        let r3 = V::load(&data[offs[i + 3] + x0..]);
-        a3 = a3.mul_add(r3, V::splat(t0[i + 3]));
-        b3 = b3.mul_add(r3, V::splat(t1[i + 3]));
-        i += 4;
+    let taps = t0.chunks_exact(4).zip(t1.chunks_exact(4));
+    for (o, (u, v)) in offs.chunks_exact(4).zip(taps) {
+        let r0 = V::load(&data[o[0] + x0..]);
+        a0 = a0.mul_add(r0, V::splat(u[0]));
+        b0 = b0.mul_add(r0, V::splat(v[0]));
+        let r1 = V::load(&data[o[1] + x0..]);
+        a1 = a1.mul_add(r1, V::splat(u[1]));
+        b1 = b1.mul_add(r1, V::splat(v[1]));
+        let r2 = V::load(&data[o[2] + x0..]);
+        a2 = a2.mul_add(r2, V::splat(u[2]));
+        b2 = b2.mul_add(r2, V::splat(v[2]));
+        let r3 = V::load(&data[o[3] + x0..]);
+        a3 = a3.mul_add(r3, V::splat(u[3]));
+        b3 = b3.mul_add(r3, V::splat(v[3]));
     }
     (a0.add(a2).add(a1.add(a3)), b0.add(b2).add(b1.add(b3)))
 }
@@ -314,8 +291,8 @@ fn filter_cols(data: &[f32], idx: &[usize], taps: &[f32], out: &mut [f32]) {
 }
 
 /// Reconstructs one output row of the columnar synthesis (the lane-wise sum
-/// of the two channel dot products, matching the row path's
-/// `simd_dot(lo) + simd_dot(hi)` per column).
+/// of the two channel dot products, matching the per-output
+/// `dot(lo) + dot(hi)` per column).
 #[allow(clippy::too_many_arguments)]
 fn synth_cols(
     lo: &[f32],
@@ -438,6 +415,102 @@ fn columnar_synthesize(
     }
 }
 
+/// Kernel-owned staging of the lane-parallel row passes. The row primitives
+/// take no caller scratch, so [`SimdKernel`] keeps its own; every buffer
+/// grows on first use and is reused after, keeping the row passes
+/// allocation-free in steady state.
+#[derive(Debug, Clone, Default)]
+struct RowScratch {
+    /// Analysis window split into even- then odd-indexed samples.
+    split: Vec<f32>,
+    /// Per-tap offsets into the row source (one per padded tap).
+    offs0: Vec<usize>,
+    offs1: Vec<usize>,
+    /// Synthesis outputs of each parity class, laid end to end.
+    classes: Vec<f32>,
+}
+
+/// Offsets of `len` taps into an even/odd split whose odd half starts at
+/// `odd_at`: sample `r` of the unsplit window lives at `r / 2` when `r` is
+/// even and at `odd_at + r / 2` when it is odd.
+fn fill_split(offs: &mut Vec<usize>, first: usize, len: usize, odd_at: usize) {
+    offs.clear();
+    offs.extend((first..first + len).map(|r| if r % 2 == 0 { r / 2 } else { odd_at + r / 2 }));
+}
+
+/// Lane-parallel decimating analysis of one row (see the module docs).
+/// `rev0`/`rev1` are the `reversed_padded` taps of filters `l0`/`l1` long.
+fn lanes_analyze_row(
+    rs: &mut RowScratch,
+    ext: &[f32],
+    left: usize,
+    (rev0, l0): (&[f32], usize),
+    (rev1, l1): (&[f32], usize),
+    phase: usize,
+    (lo, hi): (&mut [f32], &mut [f32]),
+) {
+    // Output k of a filter `l` long reads ext[left + phase + 1 - l + 2k + i];
+    // the longer filter's window starts first, so split from there.
+    let lmax = l0.max(l1);
+    let win = &ext[left + phase + 1 - lmax..];
+    let odd_at = win.len().div_ceil(2);
+    rs.split.clear();
+    rs.split.extend(win.iter().step_by(2));
+    rs.split.extend(win.iter().skip(1).step_by(2));
+    fill_split(&mut rs.offs0, lmax - l0, rev0.len(), odd_at);
+    if l0 == l1 && rev0.len() == rev1.len() {
+        // Equal-length pair (the q-shift orthonormal banks): both filters
+        // read the same window, so share its loads across the two filters.
+        filter_cols2(&rs.split, &rs.offs0, rev0, rev1, lo, hi);
+    } else {
+        fill_split(&mut rs.offs1, lmax - l1, rev1.len(), odd_at);
+        filter_cols(&rs.split, &rs.offs0, rev0, lo);
+        filter_cols(&rs.split, &rs.offs1, rev1, hi);
+    }
+}
+
+/// Lane-parallel interpolating synthesis of one row (see the module docs):
+/// `(even, odd)` are the `polyphase_reversed` components of `g0` and `g1`.
+fn lanes_synthesize_row(
+    rs: &mut RowScratch,
+    (lo_ext, hi_ext): (&[f32], &[f32]),
+    left: usize,
+    g0: (&[f32], &[f32]),
+    g1: (&[f32], &[f32]),
+    phase: usize,
+    out: &mut [f32],
+) {
+    let n = out.len();
+    rs.classes.resize(n, 0.0);
+    let (evens, odds) = rs.classes.split_at_mut(n.div_ceil(2));
+    for (q, dst) in [(0isize, evens), (1, odds)] {
+        // Output m = 2j + q: its polyphase parity and window top k_top are
+        // fixed by q, and the window advances one channel sample per j.
+        let mp = q - phase as isize;
+        let parity = mp & 1;
+        let (t0, t1) = if parity == 0 {
+            (g0.0, g1.0)
+        } else {
+            (g0.1, g1.1)
+        };
+        let k_top = (mp - parity) / 2;
+        let start0 = (left as isize + k_top + 1 - t0.len() as isize) as usize;
+        let start1 = (left as isize + k_top + 1 - t1.len() as isize) as usize;
+        rs.offs0.clear();
+        rs.offs0.extend(start0..start0 + t0.len());
+        rs.offs1.clear();
+        rs.offs1.extend(start1..start1 + t1.len());
+        synth_cols(lo_ext, hi_ext, &rs.offs0, &rs.offs1, t0, t1, dst);
+    }
+    let (evens, odds) = rs.classes.split_at(n.div_ceil(2));
+    for (o, v) in out.iter_mut().step_by(2).zip(evens) {
+        *o = *v;
+    }
+    for (o, v) in out.iter_mut().skip(1).step_by(2).zip(odds) {
+        *o = *v;
+    }
+}
+
 /// Validation shared by the columnar analysis entry points.
 fn check_cols_input(img: &Image) -> Result<(), DtcwtError> {
     let (w, h) = img.dims();
@@ -496,6 +569,7 @@ pub struct SimdKernel {
     a_key1: Vec<f32>,
     s_key0: Vec<f32>,
     s_key1: Vec<f32>,
+    rows: RowScratch,
     columnar: bool,
 }
 
@@ -512,6 +586,7 @@ impl Default for SimdKernel {
             a_key1: Vec::new(),
             s_key0: Vec::new(),
             s_key1: Vec::new(),
+            rows: RowScratch::default(),
             columnar: true,
         }
     }
@@ -548,23 +623,15 @@ impl FilterKernel for SimdKernel {
         if taps_changed(&mut self.a_key1, h1) {
             reversed_padded(h1, false, &mut self.rev1);
         }
-        let (l0, l1) = (h0.len(), h1.len());
-        if l0 == l1 && self.rev0.len() == self.rev1.len() {
-            // Equal-length pair (the q-shift orthonormal banks): both filters
-            // read the same window, so share its loads across the two dots.
-            for k in 0..lo.len() {
-                let center = left + 2 * k + phase;
-                let (a, b) = simd_dot2(&ext[center + 1 - l0..], &self.rev0, &self.rev1);
-                lo[k] = a;
-                hi[k] = b;
-            }
-        } else {
-            for k in 0..lo.len() {
-                let center = left + 2 * k + phase;
-                lo[k] = simd_dot(&ext[center + 1 - l0..], &self.rev0);
-                hi[k] = simd_dot(&ext[center + 1 - l1..], &self.rev1);
-            }
-        }
+        lanes_analyze_row(
+            &mut self.rows,
+            ext,
+            left,
+            (&self.rev0, h0.len()),
+            (&self.rev1, h1.len()),
+            phase,
+            (lo, hi),
+        );
     }
 
     fn synthesize_row(
@@ -578,28 +645,23 @@ impl FilterKernel for SimdKernel {
         out: &mut [f32],
     ) {
         // Polyphase split: outputs of each parity use every other tap, and
-        // the channel window is contiguous — so each output is again a
-        // lane-aligned dot product (front-padded taps read below the window,
-        // covered by the caller's left extension margin).
+        // the channel window is contiguous (front-padded taps read below the
+        // window, covered by the caller's left extension margin).
         if taps_changed(&mut self.s_key0, g0) {
             polyphase_reversed(g0, &mut self.g0_even, &mut self.g0_odd);
         }
         if taps_changed(&mut self.s_key1, g1) {
             polyphase_reversed(g1, &mut self.g1_even, &mut self.g1_odd);
         }
-        for (m, o) in out.iter_mut().enumerate() {
-            let mp = m as isize - phase as isize;
-            let parity = (mp & 1) as usize;
-            let (t0, t1) = if parity == 0 {
-                (&self.g0_even, &self.g1_even)
-            } else {
-                (&self.g0_odd, &self.g1_odd)
-            };
-            let k_top = (mp - parity as isize) / 2; // highest contributing k
-            let start0 = (left as isize + k_top + 1 - t0.len() as isize) as usize;
-            let start1 = (left as isize + k_top + 1 - t1.len() as isize) as usize;
-            *o = simd_dot(&lo_ext[start0..], t0) + simd_dot(&hi_ext[start1..], t1);
-        }
+        lanes_synthesize_row(
+            &mut self.rows,
+            (lo_ext, hi_ext),
+            left,
+            (&self.g0_even, &self.g0_odd),
+            (&self.g1_even, &self.g1_odd),
+            phase,
+            out,
+        );
     }
 
     fn columnar(&self) -> bool {
@@ -610,12 +672,11 @@ impl FilterKernel for SimdKernel {
         self.columnar = enabled;
     }
 
-    // Note on summation order: the *row* path differs from the scalar kernel
-    // (4-lane partials vs a single running sum), which is why row results are
-    // compared against scalar with a small tolerance. The *column* path below
-    // replicates the row path's own order per column, so columnar output is
-    // bit-identical to this kernel's transpose-staged fallback — not merely
-    // close to it.
+    // Note on summation order: this kernel's four-partial fold differs from
+    // the scalar kernel's single running sum, which is why its results are
+    // compared against scalar with a small tolerance. Rows and columns share
+    // the lane bodies, so columnar output is bit-identical to this kernel's
+    // transpose-staged fallback — not merely close to it.
     fn analyze_cols(
         &mut self,
         taps: &BankTaps,
@@ -756,9 +817,9 @@ impl AutoVecKernel {
         (acc[0] + acc[2]) + (acc[1] + acc[3])
     }
 
-    /// Shared-window pair of [`AutoVecKernel::unrolled_dot`]s — same
-    /// load-sharing trick as [`simd_dot2`], same bit-identity argument: each
-    /// filter's per-lane accumulation order is unchanged.
+    /// Shared-window pair of [`AutoVecKernel::unrolled_dot`]s: each window
+    /// chunk is loaded once for both filters, and each filter's per-lane
+    /// accumulation order is unchanged.
     #[inline(always)]
     fn unrolled_dot2(window: &[f32], taps0: &[f32], taps1: &[f32]) -> (f32, f32) {
         debug_assert_eq!(taps0.len(), taps1.len());
@@ -857,8 +918,8 @@ impl FilterKernel for AutoVecKernel {
         self.columnar = enabled;
     }
 
-    // `unrolled_dot` has the exact same per-lane summation structure as
-    // `simd_dot` (four partials folded `(p0 + p2) + (p1 + p3)`), so both
+    // `unrolled_dot` has the exact same per-lane summation structure as the
+    // columnar bodies (four partials folded `(p0 + p2) + (p1 + p3)`), so both
     // kernels share one columnar body and each stays bit-identical to its
     // own transpose-staged fallback.
     fn analyze_cols(
@@ -1073,6 +1134,38 @@ mod tests {
                     let out_a = synthesize(&mut av, &taps, &lo, &hi, phase).unwrap();
                     assert_close(&ref_out, &out_v, 1e-4, &format!("simd syn {what}"));
                     assert_close(&ref_out, &out_a, 1e-4, &format!("autovec syn {what}"));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lane_rows_bit_identical_to_per_output_rows() {
+        // SimdKernel's rows put adjacent outputs in lanes; AutoVecKernel's
+        // compute one dot product per output with the same four-partial
+        // fold. Every output bit must agree. Row lengths 2..=40 cover the
+        // 8-, 4- and 1-lane groups and their tails, and rows shorter than
+        // the extension margins, which wrap more than once.
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut si = SimdKernel::new();
+        let mut av = AutoVecKernel::new();
+        for bank in banks() {
+            let taps = BankTaps::new(&bank);
+            for phase in [Phase::A, Phase::B] {
+                for n in (2..=40).step_by(2) {
+                    let x = signal(n);
+                    let what = format!("{} {phase:?} n={n}", bank.name());
+                    let (lo_v, hi_v) = analyze(&mut si, &taps, &x, phase).unwrap();
+                    let (lo_a, hi_a) = analyze(&mut av, &taps, &x, phase).unwrap();
+                    assert_eq!(bits(&lo_v), bits(&lo_a), "lo {what}");
+                    assert_eq!(bits(&hi_v), bits(&hi_a), "hi {what}");
+                    // Synthesize from independent channels so the check does
+                    // not lean on perfect reconstruction.
+                    let lo = signal(n / 2);
+                    let hi = signal(n / 2 + 5).split_off(5);
+                    let out_v = synthesize(&mut si, &taps, &lo, &hi, phase).unwrap();
+                    let out_a = synthesize(&mut av, &taps, &lo, &hi, phase).unwrap();
+                    assert_eq!(bits(&out_v), bits(&out_a), "synthesis {what}");
                 }
             }
         }

@@ -7,20 +7,28 @@
 //! both flavors on a portable 4-lane vector type:
 //!
 //! * [`F32x4`] — the quad-register model. Elementwise ops over a `[f32; 4]`
-//!   newtype; LLVM lowers these to native SIMD (SSE/NEON) on release builds,
-//!   and the semantics are identical everywhere (no FMA contraction).
-//! * [`SimdKernel`] — the *manual* vectorization: reversed-tap dot products
-//!   accumulated in a vector register and folded with a horizontal add,
-//!   exactly the structure of the paper's Fig. 3 intrinsics listing.
-//! * [`AutoVecKernel`] — the *auto* vectorization: plain indexed loops
-//!   shaped so the compiler can vectorize them (fixed trip counts, no
-//!   aliasing), mirroring the paper's `__restrict` + masked-length C code.
+//!   newtype with identical semantics everywhere (no FMA contraction). It is
+//!   a plain array, not a platform intrinsic, so native SIMD is up to the
+//!   compiler; the load contract is what lets it happen: `load` checks the
+//!   slice length once and converts a whole sub-slice, which compiles to one
+//!   unaligned vector load rather than a bounds check and scalar move per
+//!   lane. [`F32x8`] (a quad-register pair) follows the same contract.
+//! * [`SimdKernel`] — the *manual* vectorization: reversed, lane-padded taps
+//!   as in the paper's Fig. 3 intrinsics listing, with adjacent outputs in
+//!   the vector lanes. Rows and columns run on one set of lane bodies (see
+//!   [`kernel`]).
+//! * [`AutoVecKernel`] — the *auto* vectorization: plain indexed loops, one
+//!   dot product per output, shaped so the compiler can vectorize them
+//!   (fixed trip counts, no aliasing), mirroring the paper's `__restrict` +
+//!   masked-length C code.
 //!
 //! Both kernels implement [`wavefuse_dtcwt::FilterKernel`] and are verified
-//! bit-for-bit-close against the scalar reference in the tests. They also
-//! override the trait's *column passes* with a transpose-free columnar path
-//! ([`F32x8`] / [`F32x4`] lanes each owning one image column) that is
-//! bit-identical to the transpose-staged fallback — see [`kernel`].
+//! close to the scalar reference in the tests, and bit-identical to each
+//! other: every output folds its four per-lane partial sums as
+//! `(p0 + p2) + (p1 + p3)`. Both also override the trait's *column passes*
+//! with a transpose-free columnar path ([`F32x8`] / [`F32x4`] lanes each
+//! owning one image column) that is bit-identical to the transpose-staged
+//! fallback.
 //!
 //! # Examples
 //!

@@ -7,8 +7,11 @@ use std::ops::{Add, AddAssign, Mul, Sub};
 ///
 /// All operations are plain IEEE-754 single-precision lane ops (no fused
 /// multiply-add), so results are bit-identical to scalar code evaluating the
-/// same expression tree, on every target. Release builds lower these to
-/// native SIMD instructions.
+/// same expression tree, on every target. The type is a plain array, not a
+/// platform intrinsic: whether release builds use native SIMD registers
+/// depends on the code around it. [`F32x4::load`] is the part of the
+/// contract that makes that possible — one length check per load, never one
+/// per lane.
 ///
 /// # Examples
 ///
@@ -40,12 +43,17 @@ impl F32x4 {
 
     /// Loads four consecutive values from a slice (`vld1q_f32`).
     ///
+    /// The slice is cut to its first four elements once and converted to an
+    /// array, so the load costs a single length check and LLVM emits one
+    /// unaligned vector load (per-element indexing would instead emit a
+    /// bounds check and a scalar move per lane).
+    ///
     /// # Panics
     ///
     /// Panics if `src.len() < 4`.
     #[inline(always)]
     pub fn load(src: &[f32]) -> Self {
-        F32x4([src[0], src[1], src[2], src[3]])
+        F32x4(src[..4].try_into().expect("slice of length 4"))
     }
 
     /// Stores the four lanes to the head of a slice (`vst1q_f32`).
@@ -73,10 +81,10 @@ impl F32x4 {
     /// The fold order is part of the numerical contract, not an
     /// implementation detail: for lanes `[a, b, c, d]` the result is exactly
     /// `(a + c) + (b + d)` — lane 0 plus lane 2 first, then lane 1 plus
-    /// lane 3, then the two partial sums. Every consumer that must be
-    /// bit-identical to `simd_dot` (the `AutoVecKernel` unrolled fold and
-    /// the columnar kernels' per-column partial-accumulator fold) replicates
-    /// this exact association instead of a left-to-right sum.
+    /// lane 3, then the two partial sums. The kernels' dot products (the
+    /// `AutoVecKernel` per-output fold and the lane bodies' per-lane
+    /// partial-accumulator fold) use this exact association instead of a
+    /// left-to-right sum, which keeps them bit-identical to each other.
     #[inline(always)]
     pub fn horizontal_sum(self) -> f32 {
         let [a, b, c, d] = self.0;
@@ -170,16 +178,15 @@ impl F32x8 {
         F32x8([v; 8])
     }
 
-    /// Loads eight consecutive values from a slice.
+    /// Loads eight consecutive values from a slice, with the same
+    /// one-check contract as [`F32x4::load`].
     ///
     /// # Panics
     ///
     /// Panics if `src.len() < 8`.
     #[inline(always)]
     pub fn load(src: &[f32]) -> Self {
-        F32x8([
-            src[0], src[1], src[2], src[3], src[4], src[5], src[6], src[7],
-        ])
+        F32x8(src[..8].try_into().expect("slice of length 8"))
     }
 
     /// Stores the eight lanes to the head of a slice.
