@@ -28,6 +28,15 @@ echo "== strip-parallel fusion bit-identity (rules x radii x threads x strips)"
 # pipelining, and the shared serve fleet.
 cargo test -q --release --test fusion_identity
 
+echo "== capture-path bit-identity (golden capture digests, video properties and BT.656 fuzz)"
+# The capture loops are written for vector code; the golden digests pin
+# both cameras' frames, the BT.656 wire bytes and the libm-free scaler and
+# pack stages to constants recorded before that rewrite. The video crate's
+# seeded property suite and decoder mutation fuzz run here at release
+# speed.
+cargo test -q --release --test golden_digest
+cargo test -q --release -p wavefuse-video
+
 echo "== benchmark smoke (wavebench: every workload, metric units, corrupted reference)"
 # The benchmark is its own cargo workspace; its tests run each workload in
 # --smoke mode and check that a corrupted serial reference is reported.

@@ -12,7 +12,9 @@
 //! the protection bits, skips blanking, and reassembles the active field —
 //! faithfully rejecting corrupted streams.
 
+use crate::frame::{luma_from_yuv422, round_half_up};
 use crate::{PixelFormat, RawFrame, VideoError};
+use wavefuse_dtcwt::Image;
 
 /// Number of vertical-blanking lines the encoder emits before the active
 /// field (compact stand-in for the analog blanking interval).
@@ -59,7 +61,7 @@ pub fn encode(frame: &RawFrame) -> Vec<u8> {
     out
 }
 
-/// Allocation-free variant of [`encode`]: serializes into `out` (cleared,
+/// Allocation-free variant of [`encode`]: serializes into `out` (resized,
 /// capacity reused).
 ///
 /// # Panics
@@ -73,31 +75,68 @@ pub fn encode_into(frame: &RawFrame, out: &mut Vec<u8>) {
     );
     let (w, h) = frame.dims();
     let line_bytes = w * 2;
-    out.clear();
-    out.reserve((h + VBLANK_LINES) * (line_bytes + 8 + HBLANK_WORDS * 2));
-
-    let mut push_line = |payload: Option<&[u8]>, v: bool| {
-        // EAV of previous line, horizontal blanking, then SAV.
-        out.extend_from_slice(&[0xff, 0x00, 0x00, xy_byte(false, v, true)]);
-        for _ in 0..HBLANK_WORDS {
-            out.extend_from_slice(&[0x80, 0x10]);
-        }
-        out.extend_from_slice(&[0xff, 0x00, 0x00, xy_byte(false, v, false)]);
-        match payload {
-            Some(p) => out.extend_from_slice(p),
-            None => out.extend(std::iter::repeat_n([0x80u8, 0x10], w).flatten()),
-        }
-    };
-
-    for _ in 0..VBLANK_LINES {
-        push_line(None, true);
+    for (y, payload) in active_payloads(w, h, out).enumerate() {
+        payload.copy_from_slice(&frame.bytes()[y * line_bytes..(y + 1) * line_bytes]);
     }
-    for y in 0..h {
-        push_line(
-            Some(&frame.bytes()[y * line_bytes..(y + 1) * line_bytes]),
-            false,
-        );
+}
+
+/// Encodes a grayscale image as the BT.656 stream of its YUV 4:2:2 packing
+/// — what the thermal camera's formatter puts on the wire: neutral chroma
+/// (`Cb = Cr = 0x80`) and luma `1 + round(253 * clamp(v, 0, 1))`, which
+/// keeps every payload byte clear of the `0x00`/`0xFF` sync codes. The
+/// luma is written straight into the line payloads, with no intermediate
+/// YUV frame. Serializes into `out` (resized, capacity reused).
+pub fn encode_gray_into(img: &Image, out: &mut Vec<u8>) {
+    let (w, h) = img.dims();
+    for (y, payload) in active_payloads(w, h, out).enumerate() {
+        pack_gray_line(&img.as_slice()[y * w..(y + 1) * w], payload);
     }
+}
+
+/// Packs one gray row into `Cb Y Cr Y` payload bytes, one little-endian
+/// `Cb | Y << 8` word per pixel.
+pub(crate) fn pack_gray_line(row: &[f32], payload: &mut [u8]) {
+    for (pair, &v) in payload.chunks_exact_mut(2).zip(row) {
+        let luma = round_half_up(v.clamp(0.0, 1.0) * 253.0) + 1;
+        pair.copy_from_slice(&(0x80 | u16::from(luma) << 8).to_le_bytes());
+    }
+}
+
+/// Lays out the stream of a `w` x `h` field in `out` — timing references,
+/// horizontal and vertical blanking — and returns the `h` active lines'
+/// `2 * w`-byte payload slices, top to bottom, for the caller to fill.
+/// Every byte of `out` is overwritten once the payloads are filled, so a
+/// steady-state re-encode at the same geometry neither reallocates nor
+/// clears.
+pub(crate) fn active_payloads(
+    w: usize,
+    h: usize,
+    out: &mut Vec<u8>,
+) -> impl Iterator<Item = &mut [u8]> {
+    const TIMING: usize = 4;
+    const PREAMBLE: usize = TIMING + HBLANK_WORDS * 2 + TIMING;
+    let line_len = PREAMBLE + w * 2;
+    out.resize((h + VBLANK_LINES) * line_len, 0);
+    for (y, line) in out.chunks_exact_mut(line_len).enumerate() {
+        let v = y < VBLANK_LINES;
+        // EAV of the previous line, horizontal blanking, then SAV.
+        let (eav, rest) = line.split_at_mut(TIMING);
+        eav.copy_from_slice(&[0xff, 0x00, 0x00, xy_byte(false, v, true)]);
+        let (hblank, rest) = rest.split_at_mut(HBLANK_WORDS * 2);
+        for word in hblank.chunks_exact_mut(2) {
+            word.copy_from_slice(&[0x80, 0x10]);
+        }
+        let (sav, body) = rest.split_at_mut(TIMING);
+        sav.copy_from_slice(&[0xff, 0x00, 0x00, xy_byte(false, v, false)]);
+        if v {
+            for word in body.chunks_exact_mut(2) {
+                word.copy_from_slice(&[0x80, 0x10]);
+            }
+        }
+    }
+    out.chunks_exact_mut(line_len)
+        .skip(VBLANK_LINES)
+        .map(|line| &mut line[PREAMBLE..])
 }
 
 /// Decodes a BT.656 byte stream back into a YUV 4:2:2 frame of the given
@@ -109,6 +148,8 @@ pub fn encode_into(frame: &RawFrame, out: &mut Vec<u8>) {
 ///   bits, or truncated lines.
 /// * [`VideoError::Bt656LineCount`] if the stream does not contain exactly
 ///   `height` active lines.
+/// * [`VideoError::GeometryOverflow`] if the declared geometry's byte size
+///   does not fit in `usize`.
 pub fn decode(stream: &[u8], width: usize, height: usize) -> Result<RawFrame, VideoError> {
     let mut out = RawFrame::empty();
     decode_into(stream, width, height, &mut out)?;
@@ -128,8 +169,17 @@ pub fn decode_into(
     out: &mut RawFrame,
 ) -> Result<(), VideoError> {
     let mut lines = out.take_storage();
-    lines.reserve(width * 2 * height);
-    match scan_active_lines(stream, width, height, &mut lines) {
+    let result = PixelFormat::Yuv422
+        .frame_bytes(width, height)
+        .and_then(|total| {
+            // The payload is a copy of stream bytes, so the stream length
+            // bounds it whatever geometry the caller declares.
+            lines.reserve(total.min(stream.len()));
+            scan_active_lines(stream, width, height, |line| {
+                lines.extend_from_slice(line);
+            })
+        });
+    match result {
         Ok(()) => out.assign(PixelFormat::Yuv422, width, height, lines),
         Err(e) => {
             lines.clear();
@@ -140,13 +190,39 @@ pub fn decode_into(
     }
 }
 
-/// The decoder's sync-hunting state machine, appending active-line payload
-/// to `lines`.
+/// Decodes a BT.656 stream of the given active geometry straight to luma:
+/// `out` (reshaped, capacity reused) receives each active line's `Y`
+/// bytes normalized to `[0, 1]`, exactly what [`decode_into`] followed by
+/// [`RawFrame::to_gray_into`] produces, without staging the YUV frame.
+///
+/// # Errors
+///
+/// As [`decode`]; `out`'s contents are unspecified after an error.
+pub(crate) fn decode_gray_into(
+    stream: &[u8],
+    width: usize,
+    height: usize,
+    out: &mut Image,
+) -> Result<(), VideoError> {
+    PixelFormat::Yuv422.frame_bytes(width, height)?;
+    out.reshape(width, height);
+    let dst = out.as_mut_slice();
+    let mut y = 0;
+    scan_active_lines(stream, width, height, |line| {
+        luma_from_yuv422(line, &mut dst[y * width..(y + 1) * width]);
+        y += 1;
+    })
+}
+
+/// The decoder's sync-hunting state machine. Hands each of the first
+/// `height` active lines' payload to `line`, in order, and fails unless
+/// the stream holds exactly `height` of them. The caller has checked that
+/// `width * 2 * height` fits in `usize`.
 fn scan_active_lines(
     stream: &[u8],
     width: usize,
     height: usize,
-    lines: &mut Vec<u8>,
+    mut line: impl FnMut(&[u8]),
 ) -> Result<(), VideoError> {
     let line_bytes = width * 2;
     let mut active_lines = 0usize;
@@ -176,13 +252,15 @@ fn scan_active_lines(
             continue;
         }
         // SAV of an active line: exactly line_bytes of payload follow.
-        if i + line_bytes > stream.len() {
+        if stream.len() - i < line_bytes {
             return Err(VideoError::Bt656Sync {
                 offset: i,
                 reason: "active line truncated",
             });
         }
-        lines.extend_from_slice(&stream[i..i + line_bytes]);
+        if active_lines < height {
+            line(&stream[i..i + line_bytes]);
+        }
         active_lines += 1;
         i += line_bytes;
     }
@@ -217,8 +295,10 @@ pub struct ResilienceReport {
 ///
 /// # Errors
 ///
-/// Returns [`VideoError::EmptyImage`] only for zero dimensions — stream
-/// corruption is *not* an error for this decoder.
+/// Returns [`VideoError::EmptyImage`] for zero dimensions and
+/// [`VideoError::GeometryOverflow`] if the declared geometry's byte size
+/// does not fit in `usize` — stream corruption is *not* an error for this
+/// decoder.
 pub fn decode_resilient(
     stream: &[u8],
     width: usize,
@@ -227,6 +307,7 @@ pub fn decode_resilient(
     if width == 0 || height == 0 {
         return Err(VideoError::EmptyImage);
     }
+    PixelFormat::Yuv422.frame_bytes(width, height)?;
     let line_bytes = width * 2;
     let mut lines: Vec<Vec<u8>> = Vec::with_capacity(height);
     let mut report = ResilienceReport::default();
@@ -251,7 +332,7 @@ pub fn decode_resilient(
         if h || v {
             continue;
         }
-        if i + line_bytes > stream.len() {
+        if stream.len() - i < line_bytes {
             break; // truncated final line: concealed below
         }
         let payload = &stream[i..i + line_bytes];
@@ -463,6 +544,72 @@ mod tests {
         assert_eq!(report.good_lines + report.concealed_lines, 4);
         assert!(decode_resilient(&[], 8, 4).is_ok());
         assert!(decode_resilient(&garbage, 0, 4).is_err());
+    }
+
+    #[test]
+    fn overflowing_geometry_is_rejected() {
+        // width * 2 overflows: both decoders must refuse the geometry
+        // rather than wrap it to a zero-byte line.
+        let huge = usize::MAX / 2 + 1;
+        let overflow = VideoError::GeometryOverflow {
+            width: huge,
+            height: 1,
+        };
+        let mut out = RawFrame::empty();
+        assert_eq!(
+            decode_into(&[0; 16], huge, 1, &mut out),
+            Err(overflow.clone())
+        );
+        assert_eq!(out.dims(), (0, 0));
+        assert_eq!(decode_resilient(&[0; 16], huge, 1), Err(overflow));
+        // width * 2 fits but the product with the height does not.
+        assert!(decode(&[0; 16], usize::MAX / 4, 8).is_err());
+        assert!(decode_resilient(&[0; 16], usize::MAX / 4, 8).is_err());
+    }
+
+    #[test]
+    fn huge_declared_geometry_does_not_reserve_it() {
+        // A geometry far larger than the stream decodes to an error
+        // without first reserving the declared frame size.
+        let stream = encode(&test_frame(8, 2));
+        assert!(decode(&stream, 1 << 40, 1 << 10).is_err());
+    }
+
+    #[test]
+    fn gray_encoder_matches_yuv_pack_then_encode() {
+        // Packing by hand and encoding must give the same wire bytes as
+        // the fused gray encoder, including the clamped ends.
+        let img = Image::from_fn(13, 5, |x, y| (x as f32 - 2.0) * 0.1 + y as f32 * 0.03);
+        let mut bytes = Vec::new();
+        for &v in img.as_slice() {
+            bytes.push(0x80);
+            bytes.push((v.clamp(0.0, 1.0) * 253.0).round() as u8 + 1);
+        }
+        let frame = RawFrame::new(PixelFormat::Yuv422, 13, 5, bytes).unwrap();
+        let mut stream = vec![0xaa; 3];
+        encode_gray_into(&img, &mut stream);
+        assert_eq!(stream, encode(&frame));
+        assert_eq!(decode(&stream, 13, 5).unwrap(), frame);
+    }
+
+    #[test]
+    fn decode_to_luma_matches_decode_then_to_gray() {
+        let frame = test_frame(24, 7);
+        let stream = encode(&frame);
+        let mut gray = Image::zeros(0, 0);
+        decode_gray_into(&stream, 24, 7, &mut gray).unwrap();
+        assert_eq!(
+            gray,
+            decode(&stream, 24, 7).unwrap().to_gray(0).into_image()
+        );
+        // The same stream errors declared one line short or long.
+        for h in [6, 8] {
+            assert_eq!(
+                decode_gray_into(&stream, 24, h, &mut gray),
+                decode(&stream, 24, h).map(|_| ())
+            );
+        }
+        assert!(decode_gray_into(&stream, usize::MAX / 2 + 1, 1, &mut gray).is_err());
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //!   [`crate::scaler`] — the full PL-side path of the paper.
 
 use crate::bt656;
-use crate::frame::{Frame, PixelFormat, RawFrame};
+use crate::frame::{round_half_up, Frame, PixelFormat, RawFrame};
 use crate::scaler::BilinearPlan;
 use crate::scene::{RenderScratch, ScenePair};
 use crate::VideoError;
@@ -116,15 +116,19 @@ impl WebCamera {
 /// Quantizes a rendered `[0, 1]` image to packed RGB sensor bytes. Warm
 /// cast: slightly boosted red, slightly cut blue, chosen so the BT.601
 /// luma recovers the rendered value exactly
-/// (0.299*1.04 + 0.587*1.0 + 0.114*0.895 = 1.0).
+/// (0.299*1.04 + 0.587*1.0 + 0.114*0.895 = 1.0). Each channel is rounded
+/// with [`round_half_up`], bit-identical to `.round() as u8`.
 fn quantize_rgb(img: &Image, bytes: &mut Vec<u8>) {
     bytes.clear();
     bytes.resize(img.as_slice().len() * 3, 0);
     for (rgb, &v) in bytes.chunks_exact_mut(3).zip(img.as_slice()) {
         let v = v.clamp(0.0, 1.0);
-        rgb[0] = ((v * 1.04).min(1.0) * 255.0).round() as u8;
-        rgb[1] = (v * 255.0).round() as u8;
-        rgb[2] = (v * 0.895 * 255.0).round() as u8;
+        let r = round_half_up((v * 1.04).min(1.0) * 255.0);
+        let g = round_half_up(v * 255.0);
+        let b = round_half_up(v * 0.895 * 255.0);
+        // Assembled as one word: measurably faster than three byte stores.
+        let word = u32::from(r) | u32::from(g) << 8 | u32::from(b) << 16;
+        rgb.copy_from_slice(&word.to_le_bytes()[..3]);
     }
 }
 
@@ -135,15 +139,15 @@ pub struct ThermalCamera {
     field_fps: f64,
     seq: u64,
     // Reusable capture-path scratch covering every stage of the pipe
-    // (render, field resample, YUV pack, BT.656 stream, decode, luma), so
-    // steady-state captures via `capture_into` do not allocate.
+    // (render, BT.656 stream, decoded luma field), so steady-state
+    // captures via `capture_into` do not allocate. The resampled field is
+    // packed into the stream row by row and the stream is decoded
+    // straight to luma, so neither the field image nor the YUV frame is
+    // ever held whole.
     scratch: RenderScratch,
     native: Image,
-    field: Image,
-    yuv: RawFrame,
     stream: Vec<u8>,
-    decoded: RawFrame,
-    gray: Frame,
+    gray: Image,
     /// Prepared sensor-to-field resample (fixed geometry).
     up: BilinearPlan,
     /// Prepared field-to-output resample; `None` for zero output dims
@@ -163,11 +167,8 @@ impl ThermalCamera {
             seq: 0,
             scratch: RenderScratch::default(),
             native: Image::zeros(0, 0),
-            field: Image::zeros(0, 0),
-            yuv: RawFrame::empty(),
             stream: Vec::new(),
-            decoded: RawFrame::empty(),
-            gray: Frame::new(Image::zeros(0, 0), 0),
+            gray: Image::zeros(0, 0),
             up: BilinearPlan::new(sw, sh, fw, fh).expect("non-empty field geometry"),
             down: BilinearPlan::new(fw, fh, out_width, out_height).ok(),
         }
@@ -182,23 +183,28 @@ impl ThermalCamera {
     /// carry. Exposed so tests and examples can exercise the decoder
     /// directly.
     pub fn next_field_stream(&mut self) -> Vec<u8> {
-        self.render_field_yuv();
-        bt656::encode(&self.yuv)
+        self.render_field_stream();
+        self.stream.clone()
     }
 
-    /// Renders the next field into `self.yuv` (advancing the sequence
-    /// counter): render at sensor dims → resample to field geometry →
-    /// YUV 4:2:2 pack, all through scratch buffers.
-    fn render_field_yuv(&mut self) {
+    /// Renders the next field as its BT.656 stream into `self.stream`
+    /// (advancing the sequence counter): render at sensor dims → resample
+    /// to field geometry → YUV 4:2:2 pack + BT.656 framing. Each resampled
+    /// field row is packed into its line payload as soon as it is blended.
+    fn render_field_stream(&mut self) {
         let t = self.seq as f64 / self.field_fps;
         self.seq += 1;
         let (sw, sh) = THERMAL_SENSOR_DIMS;
         self.scene
             .render_thermal_scratch(sw, sh, t, &mut self.scratch, &mut self.native);
+        let (fw, fh) = THERMAL_FIELD_DIMS;
+        let mut payloads = bt656::active_payloads(fw, fh, &mut self.stream);
         self.up
-            .apply(&self.native, &mut self.field)
+            .apply_rows(&self.native, |row| {
+                let payload = payloads.next().expect("one payload line per field row");
+                bt656::pack_gray_line(row, payload);
+            })
             .expect("planned sensor geometry");
-        yuv422_from_gray_into(&self.field, &mut self.yuv);
     }
 
     /// Captures the next frame through the full path:
@@ -223,43 +229,16 @@ impl ThermalCamera {
     /// As [`ThermalCamera::capture`].
     pub fn capture_into(&mut self, out: &mut Frame) -> Result<(), VideoError> {
         let seq = self.seq;
-        self.render_field_yuv();
-        bt656::encode_into(&self.yuv, &mut self.stream);
+        self.render_field_stream();
         let (fw, fh) = THERMAL_FIELD_DIMS;
-        bt656::decode_into(&self.stream, fw, fh, &mut self.decoded)?;
-        self.decoded.to_gray_into(seq, &mut self.gray);
+        bt656::decode_gray_into(&self.stream, fw, fh, &mut self.gray)?;
         self.down
-            .as_ref()
+            .as_mut()
             .ok_or(VideoError::EmptyImage)?
-            .apply(self.gray.image(), out.image_mut())?;
+            .apply(&self.gray, out.image_mut())?;
         out.set_seq(seq);
         Ok(())
     }
-}
-
-/// Packs a grayscale image into YUV 4:2:2 bytes with neutral chroma,
-/// clamping luma into the BT.656-legal `1..=254` range. Reuses `out`'s
-/// byte storage.
-fn yuv422_from_gray_into(img: &Image, out: &mut RawFrame) {
-    let (w, h) = img.dims();
-    let mut bytes = out.take_storage();
-    if bytes.len() != w * h * 2 {
-        // Neutral Cb/Cr bytes are invariant — prefill them once per
-        // geometry; steady-state captures only rewrite the luma bytes.
-        bytes.clear();
-        bytes.resize(w * h * 2, 0x80);
-    }
-    for (pair, &v) in bytes.chunks_exact_mut(2).zip(img.as_slice()) {
-        // Integer round-half-up: bit-identical to `.round() as u8` on the
-        // clamped [0, 253] range (positive halves round away from zero
-        // either way), but lowers to SSE2-vectorizable converts instead of
-        // a scalar `roundf` call per pixel.
-        let x = v.clamp(0.0, 1.0) * 253.0;
-        let t = x as i32;
-        pair[1] = (t + i32::from(x - t as f32 >= 0.5)) as u8 + 1;
-    }
-    out.assign(PixelFormat::Yuv422, w, h, bytes)
-        .expect("geometry is consistent");
 }
 
 #[cfg(test)]

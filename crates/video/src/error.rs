@@ -28,6 +28,13 @@ pub enum VideoError {
         /// Active lines found.
         actual: usize,
     },
+    /// A frame geometry whose byte size does not fit in `usize`.
+    GeometryOverflow {
+        /// Declared width in pixels.
+        width: usize,
+        /// Declared height in pixels.
+        height: usize,
+    },
     /// A scaler was asked to produce or consume an empty image.
     EmptyImage,
     /// A frame FIFO refused a frame (back-pressure); the frame was dropped.
@@ -48,6 +55,9 @@ impl fmt::Display for VideoError {
                     f,
                     "bt656 stream held {actual} active lines, expected {expected}"
                 )
+            }
+            VideoError::GeometryOverflow { width, height } => {
+                write!(f, "frame geometry {width}x{height} overflows its byte size")
             }
             VideoError::EmptyImage => write!(f, "empty image in video path"),
             VideoError::FifoFull => write!(f, "frame fifo full, frame dropped"),

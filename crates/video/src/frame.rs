@@ -25,6 +25,58 @@ impl PixelFormat {
             PixelFormat::Rgb888 => 3,
         }
     }
+
+    /// Payload bytes of a `width` x `height` frame in this format.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`VideoError::GeometryOverflow`] if the size does not fit
+    /// in `usize`.
+    pub(crate) fn frame_bytes(self, width: usize, height: usize) -> Result<usize, VideoError> {
+        width
+            .checked_mul(height)
+            .and_then(|px| px.checked_mul(self.bytes_per_pixel()))
+            .ok_or(VideoError::GeometryOverflow { width, height })
+    }
+}
+
+/// `b / 255` for every byte value: the `[0, 1]` normalization of 8-bit
+/// samples, as a table so the luma loops do one load per pixel. Each entry
+/// is the correctly rounded quotient, exactly what `b as f32 / 255.0`
+/// computes at run time.
+static UNIT_FROM_BYTE: [f32; 256] = {
+    let mut table = [0.0; 256];
+    let mut b = 0;
+    while b < 256 {
+        table[b] = b as f32 / 255.0;
+        b += 1;
+    }
+    table
+};
+
+/// Extracts the luma of packed `Cb Y0 Cr Y1` bytes (the odd positions),
+/// normalized to `[0, 1]`, into `dst`.
+pub(crate) fn luma_from_yuv422(bytes: &[u8], dst: &mut [f32]) {
+    for (d, pair) in dst.iter_mut().zip(bytes.chunks_exact(2)) {
+        *d = UNIT_FROM_BYTE[usize::from(pair[1])];
+    }
+}
+
+/// `x.round() as u8`, bit for bit, for every `f32` (NaN and negatives
+/// give 0, values from 255 up give 255), in a form that vectorizes: the
+/// float-to-int `as` cast saturates, which keeps loops holding it scalar,
+/// and `round` is a libm call per sample.
+///
+/// Adding 2^23 to the clamped `x` rounds it to the nearest integer, ties
+/// to even, and leaves that integer in the low mantissa bits; the sum is
+/// exact otherwise, so `x - even` is the exact rounding residue, which is
+/// `0.5` exactly on the ties that half-up rounding sends the other way.
+pub(crate) fn round_half_up(x: f32) -> u8 {
+    const MAGIC: f32 = 8_388_608.0;
+    // NaN fails the comparison and maps to 0, as the `as` cast does.
+    let x = if x >= 0.0 { x.min(255.0) } else { 0.0 };
+    let m = x + MAGIC;
+    (m.to_bits() as u8) + u8::from(x - (m - MAGIC) == 0.5)
 }
 
 /// An undecoded frame straight from a capture device.
@@ -42,14 +94,15 @@ impl RawFrame {
     /// # Errors
     ///
     /// Returns [`VideoError::BadFrameLength`] if `bytes` does not match
-    /// `width * height * bytes_per_pixel`.
+    /// `width * height * bytes_per_pixel`, and
+    /// [`VideoError::GeometryOverflow`] if that product overflows.
     pub fn new(
         format: PixelFormat,
         width: usize,
         height: usize,
         bytes: Vec<u8>,
     ) -> Result<Self, VideoError> {
-        let expected = width * height * format.bytes_per_pixel();
+        let expected = format.frame_bytes(width, height)?;
         if bytes.len() != expected {
             return Err(VideoError::BadFrameLength {
                 expected,
@@ -95,7 +148,7 @@ impl RawFrame {
         height: usize,
         bytes: Vec<u8>,
     ) -> Result<(), VideoError> {
-        let expected = width * height * format.bytes_per_pixel();
+        let expected = format.frame_bytes(width, height)?;
         if bytes.len() != expected {
             return Err(VideoError::BadFrameLength {
                 expected,
@@ -140,31 +193,22 @@ impl RawFrame {
         out.seq = seq;
         let img = &mut out.image;
         img.reshape(self.width, self.height);
+        let dst = img.as_mut_slice();
         match self.format {
             PixelFormat::Gray8 => {
-                for (dst, &b) in img.as_mut_slice().iter_mut().zip(&self.bytes) {
-                    *dst = b as f32 / 255.0;
+                for (d, &b) in dst.iter_mut().zip(&self.bytes) {
+                    *d = UNIT_FROM_BYTE[usize::from(b)];
                 }
             }
-            PixelFormat::Yuv422 => {
-                // Packed Cb Y0 Cr Y1: luma sits at odd byte positions.
-                // Paired iteration keeps the loop free of bounds checks.
-                for (dst, pair) in img
-                    .as_mut_slice()
-                    .iter_mut()
-                    .zip(self.bytes.chunks_exact(2))
-                {
-                    *dst = pair[1] as f32 / 255.0;
-                }
-            }
+            PixelFormat::Yuv422 => luma_from_yuv422(&self.bytes, dst),
             PixelFormat::Rgb888 => {
                 // ITU-R BT.601 luma weights, as OpenCV's grayscale
                 // conversion (the paper's display path) uses.
-                for (i, dst) in img.as_mut_slice().iter_mut().enumerate() {
-                    let r = self.bytes[3 * i] as f32;
-                    let g = self.bytes[3 * i + 1] as f32;
-                    let b = self.bytes[3 * i + 2] as f32;
-                    *dst = (0.299 * r + 0.587 * g + 0.114 * b) / 255.0;
+                for (d, rgb) in dst.iter_mut().zip(self.bytes.chunks_exact(3)) {
+                    let r = rgb[0] as f32;
+                    let g = rgb[1] as f32;
+                    let b = rgb[2] as f32;
+                    *d = (0.299 * r + 0.587 * g + 0.114 * b) / 255.0;
                 }
             }
         }
@@ -255,6 +299,56 @@ mod tests {
         assert!(RawFrame::new(PixelFormat::Gray8, 4, 4, vec![0; 15]).is_err());
         assert!(RawFrame::new(PixelFormat::Gray8, 4, 4, vec![0; 16]).is_ok());
         assert!(RawFrame::new(PixelFormat::Yuv422, 4, 4, vec![0; 32]).is_ok());
+    }
+
+    #[test]
+    fn overflowing_geometry_is_an_error() {
+        let huge = usize::MAX / 2 + 1;
+        assert_eq!(
+            RawFrame::new(PixelFormat::Yuv422, huge, 1, Vec::new()),
+            Err(VideoError::GeometryOverflow {
+                width: huge,
+                height: 1
+            })
+        );
+        assert!(RawFrame::new(PixelFormat::Gray8, huge, 2, Vec::new()).is_err());
+        let mut frame = RawFrame::empty();
+        assert!(frame
+            .assign(PixelFormat::Rgb888, usize::MAX / 3 + 1, 1, Vec::new())
+            .is_err());
+    }
+
+    #[test]
+    fn unit_table_matches_runtime_division() {
+        for b in 0..=255u8 {
+            assert_eq!(
+                UNIT_FROM_BYTE[usize::from(b)].to_bits(),
+                (b as f32 / 255.0).to_bits()
+            );
+        }
+    }
+
+    #[test]
+    fn round_half_up_matches_round_then_cast() {
+        // Every 97th bit pattern across the whole f32 range, plus each
+        // quarter step of the byte range and both neighbours of every half
+        // step, where a rounding shortcut would differ.
+        let mut xs: Vec<f32> = (0..=u32::MAX / 97)
+            .map(|i| f32::from_bits(i * 97))
+            .collect();
+        for k in -4..1040 {
+            let q = k as f32 / 4.0;
+            xs.extend([q.next_down(), q, q.next_up()]);
+        }
+        xs.extend([f32::NAN, -f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0]);
+        for x in xs {
+            assert_eq!(
+                round_half_up(x),
+                x.round() as u8,
+                "x = {x:e} ({:#x})",
+                x.to_bits()
+            );
+        }
     }
 
     #[test]

@@ -70,8 +70,11 @@ fn tap(i: usize, scale: f32, src_len: usize) -> (usize, usize, f32) {
 ///
 /// Precomputes the per-column and per-row source taps and weights so
 /// repeated resamples (the capture path runs two per thermal frame) skip
-/// the per-pixel coordinate math and bounds checks. [`BilinearPlan::apply`]
-/// produces bit-identical pixels to [`resize_bilinear_into`].
+/// the per-pixel coordinate math, and holds a rolling cache of two
+/// horizontally interpolated source rows, so each source row is
+/// interpolated once per resample however many destination rows read it.
+/// [`BilinearPlan::apply`] produces bit-identical pixels to the per-pixel
+/// bilinear formula and to [`resize_bilinear_into`], and allocates nothing.
 #[derive(Debug, Clone)]
 pub struct BilinearPlan {
     src: (usize, usize),
@@ -80,6 +83,10 @@ pub struct BilinearPlan {
     xmap: Vec<(usize, usize, f32)>,
     /// `(y0, y1, wy)` per destination row.
     ymap: Vec<(usize, usize, f32)>,
+    /// Two `dst_w`-wide rows of horizontally interpolated source pixels.
+    rows: [Vec<f32>; 2],
+    /// One destination row, for [`BilinearPlan::apply_rows`].
+    line: Vec<f32>,
 }
 
 impl BilinearPlan {
@@ -99,6 +106,8 @@ impl BilinearPlan {
             dst: (dst_w, dst_h),
             xmap: (0..dst_w).map(|x| tap(x, sx, src_w)).collect(),
             ymap: (0..dst_h).map(|y| tap(y, sy, src_h)).collect(),
+            rows: [vec![0.0; dst_w], vec![0.0; dst_w]],
+            line: vec![0.0; dst_w],
         })
     }
 
@@ -115,11 +124,19 @@ impl BilinearPlan {
     /// Resamples `src` into `out` (reshaped, capacity reused) using the
     /// prepared taps. The identity geometry degenerates to a plain copy.
     ///
+    /// Each output pixel is `top * (1 - wy) + bot * wy`, where `top` and
+    /// `bot` are the horizontal interpolations `row[x0] * (1 - wx) +
+    /// row[x1] * wx` of source rows `y0` and `y1`: the per-pixel formula's
+    /// exact expression tree. Only where each term is computed changes:
+    /// the horizontal terms of a source row are computed once into the
+    /// row cache and reused by every destination row that reads it, and
+    /// the vertical blend runs as one stride-1 pass per destination row.
+    ///
     /// # Errors
     ///
     /// Returns [`VideoError::EmptyImage`] if `src` does not match the
     /// planned source geometry.
-    pub fn apply(&self, src: &Image, out: &mut Image) -> Result<(), VideoError> {
+    pub fn apply(&mut self, src: &Image, out: &mut Image) -> Result<(), VideoError> {
         if src.dims() != self.src {
             return Err(VideoError::EmptyImage);
         }
@@ -127,23 +144,107 @@ impl BilinearPlan {
             out.copy_from(src);
             return Ok(());
         }
-        let (sw, _) = self.src;
         let (dst_w, dst_h) = self.dst;
         out.reshape(dst_w, dst_h);
         let data = src.as_slice();
-        let dst = out.as_mut_slice();
-        for y in 0..dst_h {
-            let (y0, y1, wy) = self.ymap[y];
-            let top_row = &data[y0 * sw..y0 * sw + sw];
-            let bot_row = &data[y1 * sw..y1 * sw + sw];
-            let out_row = &mut dst[y * dst_w..(y + 1) * dst_w];
-            for (o, &(x0, x1, wx)) in out_row.iter_mut().zip(&self.xmap) {
-                let top = top_row[x0] * (1.0 - wx) + top_row[x1] * wx;
-                let bot = bot_row[x0] * (1.0 - wx) + bot_row[x1] * wx;
-                *o = top * (1.0 - wy) + bot * wy;
-            }
+        // Source row held by each cache slot; the cache is refilled per
+        // call because `src` changes between calls.
+        let mut held = [usize::MAX; 2];
+        for (out_row, &(y0, y1, wy)) in out.as_mut_slice().chunks_exact_mut(dst_w).zip(&self.ymap) {
+            let [top, bot] = cache_rows(
+                &mut self.rows,
+                &mut held,
+                data,
+                self.src.0,
+                &self.xmap,
+                y0,
+                y1,
+            );
+            blend_rows(&self.rows[top], &self.rows[bot], wy, out_row);
         }
         Ok(())
+    }
+
+    /// Resamples `src` one destination row at a time, top to bottom,
+    /// handing each finished row to `emit` instead of storing the image,
+    /// so a consumer of the rows (the thermal camera's BT.656 packer)
+    /// never needs the whole destination in memory. Each row holds the
+    /// same pixels as the matching row of [`BilinearPlan::apply`].
+    ///
+    /// # Errors
+    ///
+    /// As [`BilinearPlan::apply`].
+    pub(crate) fn apply_rows(
+        &mut self,
+        src: &Image,
+        mut emit: impl FnMut(&[f32]),
+    ) -> Result<(), VideoError> {
+        if src.dims() != self.src {
+            return Err(VideoError::EmptyImage);
+        }
+        let (sw, _) = self.src;
+        let data = src.as_slice();
+        if self.src == self.dst {
+            data.chunks_exact(sw).for_each(emit);
+            return Ok(());
+        }
+        let mut held = [usize::MAX; 2];
+        for &(y0, y1, wy) in &self.ymap {
+            let [top, bot] = cache_rows(&mut self.rows, &mut held, data, sw, &self.xmap, y0, y1);
+            blend_rows(&self.rows[top], &self.rows[bot], wy, &mut self.line);
+            emit(&self.line);
+        }
+        Ok(())
+    }
+}
+
+/// Makes sure the two cache slots hold the horizontal interpolations of
+/// source rows `y0` and `y1` of `data` (row length `sw`), interpolating
+/// each missing row once, and returns their slots. `held` records which
+/// source row each slot holds.
+fn cache_rows(
+    rows: &mut [Vec<f32>; 2],
+    held: &mut [usize; 2],
+    data: &[f32],
+    sw: usize,
+    xmap: &[(usize, usize, f32)],
+    y0: usize,
+    y1: usize,
+) -> [usize; 2] {
+    let top = match held.iter().position(|&r| r == y0) {
+        Some(slot) => slot,
+        None => {
+            // Keep the slot holding `y1` (the rows advance monotonically,
+            // so it is the next destination row's `y0`).
+            let slot = usize::from(held[0] == y1);
+            interp_row(&data[y0 * sw..(y0 + 1) * sw], xmap, &mut rows[slot]);
+            held[slot] = y0;
+            slot
+        }
+    };
+    let bot = match held.iter().position(|&r| r == y1) {
+        Some(slot) => slot,
+        None => {
+            let slot = 1 - top;
+            interp_row(&data[y1 * sw..(y1 + 1) * sw], xmap, &mut rows[slot]);
+            held[slot] = y1;
+            slot
+        }
+    };
+    [top, bot]
+}
+
+/// The vertical blend of two horizontally interpolated rows.
+fn blend_rows(top: &[f32], bot: &[f32], wy: f32, out: &mut [f32]) {
+    for ((o, &t), &b) in out.iter_mut().zip(top).zip(bot) {
+        *o = t * (1.0 - wy) + b * wy;
+    }
+}
+
+/// Horizontally interpolates one source row at every destination column.
+fn interp_row(row: &[f32], xmap: &[(usize, usize, f32)], out: &mut [f32]) {
+    for (o, &(x0, x1, wx)) in out.iter_mut().zip(xmap) {
+        *o = row[x0] * (1.0 - wx) + row[x1] * wx;
     }
 }
 
@@ -203,7 +304,7 @@ mod tests {
         // The prepared-tap resample must be bit-identical to the direct
         // per-pixel bilinear evaluation.
         let src = Image::from_fn(53, 37, |x, y| ((x * 31 + y * 17) % 101) as f32 * 0.01);
-        for (dw, dh) in [(88, 72), (17, 90), (120, 11)] {
+        for (dw, dh) in [(88, 72), (17, 90), (120, 11), (53, 1), (1, 37), (53, 37)] {
             let (sw, sh) = src.dims();
             let sx = sw as f32 / dw as f32;
             let sy = sh as f32 / dh as f32;
@@ -220,17 +321,21 @@ mod tests {
                 let bot = src.get(x0, y1) * (1.0 - wx) + src.get(x1, y1) * wx;
                 top * (1.0 - wy) + bot * wy
             });
-            let plan = BilinearPlan::new(sw, sh, dw, dh).unwrap();
+            let mut plan = BilinearPlan::new(sw, sh, dw, dh).unwrap();
             let mut out = Image::zeros(0, 0);
             plan.apply(&src, &mut out).unwrap();
             assert_eq!(out, reference);
             assert_eq!(resize_bilinear(&src, dw, dh).unwrap(), reference);
+            let mut streamed = Vec::new();
+            plan.apply_rows(&src, |row| streamed.extend_from_slice(row))
+                .unwrap();
+            assert_eq!(streamed, reference.as_slice());
         }
     }
 
     #[test]
     fn plan_rejects_mismatched_source() {
-        let plan = BilinearPlan::new(8, 6, 4, 3).unwrap();
+        let mut plan = BilinearPlan::new(8, 6, 4, 3).unwrap();
         assert_eq!(plan.src_dims(), (8, 6));
         assert_eq!(plan.dst_dims(), (4, 3));
         let wrong = Image::zeros(9, 6);

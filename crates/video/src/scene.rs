@@ -57,8 +57,8 @@ pub struct RenderScratch {
     body: Vec<f64>,
     /// Horizontal lamp falloff term per column.
     lamp: Vec<f64>,
-    /// NETD noise per column pair (the grain is 2x2 blocks), refreshed
-    /// every other row.
+    /// NETD noise per column, refreshed every other row (the grain is 2x2
+    /// blocks, each hashed once and expanded to both of its columns).
     noise_row: Vec<f64>,
 }
 
@@ -71,10 +71,10 @@ impl RenderScratch {
             &mut self.occ,
             &mut self.body,
             &mut self.lamp,
+            &mut self.noise_row,
         ] {
             table.resize(w, 0.0);
         }
-        self.noise_row.resize(w.div_ceil(2), 0.0);
     }
 }
 
@@ -231,23 +231,30 @@ impl ScenePair {
             let body_y = (-((y - by) / 0.18).powi(2)).exp();
             let lamp_y = (-((y - lampy) / 0.05).powi(2)).exp();
             if py % 2 == 0 {
-                // NETD grain is constant over 2x2 blocks; hash each block
-                // once and reuse it for four pixels.
-                for (i, n) in scratch.noise_row.iter_mut().enumerate() {
-                    *n = self.noise(i as u64, py as u64 / 2, tn, 2);
+                // NETD grain is constant over 2x2 blocks: hash each block
+                // once and expand it to both of its columns, so the pixel
+                // loop reads one noise value per pixel.
+                for (i, pair) in scratch.noise_row.chunks_mut(2).enumerate() {
+                    pair.fill(self.noise(i as u64, py as u64 / 2, tn, 2));
                 }
             }
             let row = &mut data[py * w..(py + 1) * w];
-            for (px, o) in row.iter_mut().enumerate() {
+            let columns = scratch
+                .tex
+                .iter()
+                .zip(&scratch.body)
+                .zip(&scratch.lamp)
+                .zip(&scratch.noise_row);
+            for (o, (((&tex, &body), &lamp), &noise)) in row.iter_mut().zip(columns) {
                 // Ambient temperature field: smooth, no visible-band
                 // texture — the visible occluder is transparent at LWIR.
-                let mut v = 0.25 + 0.05 * (scratch.tex[px] + cosy);
+                let mut v = 0.25 + 0.05 * (tex + cosy);
                 // Warm body: bright ellipse with a soft falloff.
-                v += 0.55 * (scratch.body[px] * body_y);
+                v += 0.55 * (body * body_y);
                 // Hot lamp spot.
-                v += 0.7 * (scratch.lamp[px] * lamp_y);
+                v += 0.7 * (lamp * lamp_y);
                 // Microbolometer NETD noise: coarser spatial grain.
-                v += 0.02 * scratch.noise_row[px / 2];
+                v += 0.02 * noise;
                 *o = (v.clamp(0.0, 1.0)) as f32;
             }
         }

@@ -22,6 +22,9 @@ use wavefuse_dtcwt::{
 };
 use wavefuse_simd::AutoVecKernel;
 use wavefuse_trace::{FlightRecorder, FrameRecord, LogHistogram};
+use wavefuse_video::camera::{ThermalCamera, WebCamera};
+use wavefuse_video::scene::ScenePair;
+use wavefuse_video::Frame;
 use wavefuse_zynq::FpgaKernel;
 
 /// `transpose_bytes_total()` is a process-wide counter, and the scalar and
@@ -130,6 +133,39 @@ fn steady_state_pipeline_steps_do_not_allocate() {
                 transposed > 0,
                 "{backend:?}: expected the scalar fallback to charge the transpose counter"
             ),
+        }
+    }
+}
+
+// Each camera holds every capture-stage buffer itself (render tables, the
+// scaler plans and their row caches, the BT.656 stream, decoded and luma
+// frames), so once one capture has sized them, `capture_into` must not
+// touch the allocator, at the paper's evaluation size and at VGA.
+#[test]
+fn steady_state_camera_captures_do_not_allocate() {
+    for (w, h) in [(88, 72), (640, 480)] {
+        let scene = ScenePair::new(7);
+        let mut thermal = ThermalCamera::new(scene.clone(), w, h);
+        let mut web = WebCamera::new(scene, w, h);
+        let mut frame = Frame::new(Image::zeros(0, 0), 0);
+        thermal
+            .capture_into(&mut frame)
+            .expect("warm-up thermal capture");
+        web.capture_into(&mut frame);
+        for seq in 1..4 {
+            let (allocs, bytes, r) = counted(|| thermal.capture_into(&mut frame));
+            r.expect("steady thermal capture");
+            assert_eq!(
+                (allocs, bytes),
+                (0, 0),
+                "{w}x{h} thermal capture {seq} allocated {allocs} times ({bytes} bytes)"
+            );
+            let (allocs, bytes, ()) = counted(|| web.capture_into(&mut frame));
+            assert_eq!(
+                (allocs, bytes),
+                (0, 0),
+                "{w}x{h} webcam capture {seq} allocated {allocs} times ({bytes} bytes)"
+            );
         }
     }
 }
